@@ -13,9 +13,13 @@ Failures overlap: a switch blackout may cover a link that an earlier
 ``fail_link`` downed with a *later* recovery time.  The injector
 therefore refcounts downs per link — a link comes back up only when
 every failure holding it down has recovered — and ``converge_routing``
-records the *position* of each removed routing-table port so recovery
-restores the original ECMP/WRR ordering (a tail re-append would make a
-recovered fabric route differently from one that never failed).
+restores each removed routing-table port at its original position, so a
+recovered fabric routes exactly like one that never failed (a tail
+re-append would reorder the ECMP/WRR candidates).  Routing entries are
+shared, read-only lists (DESIGN.md "Fabric construction"): convergence
+replaces an entry with a filtered copy and recovery rebuilds it from the
+entry as it stood before the first failure touched it, so interleaved
+recoveries of different ports land in the original order too.
 
 Observability
 -------------
@@ -75,6 +79,9 @@ class FailureInjector:
         self._downtime_ns: dict[int, int] = {}
         #: id(link) -> link, for every link a failure ever targeted.
         self._links: dict[int, Link] = {}
+        #: (id(routing table), dst) -> the entry before convergence first
+        #: narrowed it; recovery re-derives the candidate order from it.
+        self._pristine: dict[tuple[int, int], list[int]] = {}
 
     # --------------------------------------------------------- link up/down
     def _watch(self, link: Link) -> None:
@@ -170,26 +177,19 @@ class FailureInjector:
         if reverse is not None:
             self._watch(reverse)
 
-        #: (routing table, dst, original index of ``port`` in the entry)
-        removed: list[tuple[dict, int, int]] = []
+        #: destinations whose routing entry this failure narrowed
+        removed: list[int] = []
 
         def fail() -> None:
             self._down(link)
             self._down(reverse)
             if converge_routing:
-                for dst, ports in switch.routing_table.items():
-                    if len(ports) > 1 and port in ports:
-                        removed.append((switch.routing_table, dst,
-                                        ports.index(port)))
-                        ports.remove(port)
+                removed.extend(self._narrow_routes(switch, port))
 
         def recover() -> None:
             self._restore(link)
             self._restore(reverse)
-            for table, dst, index in removed:
-                entry = table[dst]
-                if port not in entry:  # guard against double-append
-                    entry.insert(min(index, len(entry)), port)
+            self._widen_routes(switch, port, removed)
             removed.clear()
 
         event = FailureEvent("link", f"{switch.name}.p{port}", at_ns,
@@ -261,6 +261,47 @@ class FailureInjector:
         event = FailureEvent("pfc_storm", f"{switch.name}.p{port}", at_ns,
                              recover_at_ns)
         return self._schedule(event, fail, recover)
+
+    # ------------------------------------------------------------- routing
+    def _narrow_routes(self, switch: Switch, port: int) -> list[int]:
+        """Replace every multipath entry holding ``port`` with a copy
+        without it; return the destinations changed.
+
+        Entries that shared one list before share one copy after.
+        """
+        table = switch.routing_table
+        copies: dict[int, list[int]] = {}
+        changed = []
+        for dst, ports in list(table.items()):
+            if len(ports) > 1 and port in ports:
+                self._pristine.setdefault((id(table), dst), ports)
+                narrowed = copies.get(id(ports))
+                if narrowed is None:
+                    narrowed = copies[id(ports)] = [p for p in ports
+                                                    if p != port]
+                table[dst] = narrowed
+                changed.append(dst)
+        return changed
+
+    def _widen_routes(self, switch: Switch, port: int,
+                      dsts: list[int]) -> None:
+        """Put ``port`` back into each of ``dsts``' entries, at its
+        position in the pre-failure entry, as a new list."""
+        table = switch.routing_table
+        copies: dict[tuple[int, int], list[int]] = {}
+        for dst in dsts:
+            entry = table[dst]
+            if port in entry:  # guard against double insertion
+                continue
+            pristine = self._pristine[(id(table), dst)]
+            key = (id(entry), id(pristine))
+            widened = copies.get(key)
+            if widened is None:
+                widened = [p for p in pristine if p == port or p in entry]
+                if widened == pristine:
+                    widened = pristine  # fully healed: share it again
+                copies[key] = widened
+            table[dst] = widened
 
     # ------------------------------------------------------------- helpers
     @staticmethod

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.net.packet import PAYLOAD_KINDS, release
 from repro.obs.registry import CounterBlock
@@ -50,10 +50,14 @@ class Link:
     ``loss_rate`` injects random corruption drops on DATA packets, the
     cable-level analogue of the switch's forced-loss testbed methodology
     (Fig 10/17); control traffic is never dropped by injection, matching
-    :meth:`Switch._forward`.  Drops are drawn from a private RNG seeded
-    from ``(loss_seed, name)`` so a rebuilt topology replays the same
-    loss pattern.  Every discard — injected loss or a downed link —
-    emits a ``drop`` trace record with a ``reason`` field.
+    :meth:`Switch.enqueue_egress`.  Drops are drawn from a private RNG
+    seeded from ``(loss_seed, name)`` so a rebuilt topology replays the
+    same loss pattern.  The RNG is created on the first payload-kind
+    loss draw, not at construction: a lossless fabric never pays for
+    one, and a link whose ``loss_rate`` is raised mid-run (a chaos
+    ``loss_burst``) draws the same sequence it would have from an
+    eagerly seeded RNG.  Every discard — injected loss or a downed
+    link — emits a ``drop`` trace record with a ``reason`` field.
     """
 
     def __init__(self, sim: Simulator, dst: Device, dst_port: int,
@@ -69,7 +73,8 @@ class Link:
         self.prop_delay_ns = prop_delay_ns
         self.name = name
         self.loss_rate = loss_rate
-        self._loss_rng = random.Random(loss_seed ^ zlib.crc32(name.encode()))
+        self._loss_seed = loss_seed ^ zlib.crc32(name.encode())
+        self._loss_rng: Optional[random.Random] = None
         self.stats = LinkStats()
         metrics.register_block(f"link.{name}", self.stats)
         self.up = True
@@ -109,9 +114,11 @@ class Link:
                        reason="link_down")
             release(self.sim, packet)
             return
-        if self.loss_rate > 0.0:
-            if (packet.kind in PAYLOAD_KINDS
-                    and self._loss_rng.random() < self.loss_rate):
+        if self.loss_rate > 0.0 and packet.kind in PAYLOAD_KINDS:
+            rng = self._loss_rng
+            if rng is None:
+                rng = self._loss_rng = random.Random(self._loss_seed)
+            if rng.random() < self.loss_rate:
                 self.stats.dropped_loss += 1
                 trace.emit(self.sim.now, "drop", self.name,
                            flow_id=packet.flow_id, psn=packet.psn,

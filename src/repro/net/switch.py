@@ -101,7 +101,12 @@ class Switch:
         self.name = name or f"switch{switch_id}"
         self.stats = SwitchStats()
         metrics.register_block(f"switch.{self.name}", self.stats)
-        self._loss_rng = random.Random(config.loss_seed ^ (switch_id * 7919))
+        # Forced-loss RNG, created on the first draw (see Link).
+        self._loss_seed = config.loss_seed ^ (switch_id * 7919)
+        self._loss_rng: Optional[random.Random] = None
+        # Gauge names and probe closures cost three objects per port;
+        # skip them outright when no registry would keep them.
+        gauges = metrics.active() is not None
         data_cap = config.effective_data_queue_bytes()
         self.ports: list[EgressPort] = []
         self.ecn_markers: list[Optional[EcnMarker]] = []
@@ -118,12 +123,13 @@ class Switch:
             # Per-port occupancy/utilization gauges for the sampler:
             # queue-depth series around trim events is the headline
             # telemetry deliverable (Fig 8 analysis).
-            metrics.gauge(f"switch.{self.name}.p{i}.data_bytes",
-                          lambda q=data_q: float(q.bytes))
-            metrics.gauge(f"switch.{self.name}.p{i}.ctrl_bytes",
-                          lambda q=ctrl_q: float(q.bytes))
-            metrics.gauge(f"switch.{self.name}.p{i}.busy_ns",
-                          lambda p=port: float(p.busy_ns))
+            if gauges:
+                metrics.gauge(f"switch.{self.name}.p{i}.data_bytes",
+                              lambda q=data_q: float(q.bytes))
+                metrics.gauge(f"switch.{self.name}.p{i}.ctrl_bytes",
+                              lambda q=ctrl_q: float(q.bytes))
+                metrics.gauge(f"switch.{self.name}.p{i}.busy_ns",
+                              lambda p=port: float(p.busy_ns))
             if config.red is not None:
                 self.ecn_markers.append(
                     EcnMarker(config.red,
@@ -167,7 +173,14 @@ class Switch:
         self.neighbors[port_idx] = (neighbor, neighbor_port)
 
     def add_route(self, dst: int, port_idx: int) -> None:
-        self.routing_table.setdefault(dst, []).append(port_idx)
+        """Append one candidate port for ``dst`` (hand-built switches).
+
+        The topology builders assign shared entries directly instead;
+        entries are read-only lists, replaced rather than mutated (see
+        DESIGN.md "Fabric construction"), so this always appends to a
+        fresh copy.
+        """
+        self.routing_table[dst] = self.routing_table.get(dst, []) + [port_idx]
 
     # ------------------------------------------------------------ receive
     def receive(self, packet: Packet, in_port: int) -> None:
@@ -263,21 +276,25 @@ class Switch:
             return
 
         # Forced loss injection (Fig 10/17 testbed methodology).
-        if (self.config.loss_rate > 0.0 and packet.kind in PAYLOAD_KINDS
-                and self._loss_rng.random() < self.config.loss_rate):
-            if self.config.enable_trimming and packet.dcp_tag is DcpTag.DCP_DATA:
-                packet.trim()
-                self.stats.trimmed += 1
-                trace.emit(self.sim.now, "trim", self.name,
-                           flow_id=packet.flow_id, psn=packet.psn)
-                self._enqueue_control(packet, port, in_port)
-            else:
-                self.stats.dropped_forced += 1
-                trace.emit(self.sim.now, "drop", self.name,
-                           flow_id=packet.flow_id, psn=packet.psn,
-                           reason="forced")
-                release(self.sim, packet)
-            return
+        if self.config.loss_rate > 0.0 and packet.kind in PAYLOAD_KINDS:
+            rng = self._loss_rng
+            if rng is None:
+                rng = self._loss_rng = random.Random(self._loss_seed)
+            if rng.random() < self.config.loss_rate:
+                if (self.config.enable_trimming
+                        and packet.dcp_tag is DcpTag.DCP_DATA):
+                    packet.trim()
+                    self.stats.trimmed += 1
+                    trace.emit(self.sim.now, "trim", self.name,
+                               flow_id=packet.flow_id, psn=packet.psn)
+                    self._enqueue_control(packet, port, in_port)
+                else:
+                    self.stats.dropped_forced += 1
+                    trace.emit(self.sim.now, "drop", self.name,
+                               flow_id=packet.flow_id, psn=packet.psn,
+                               reason="forced")
+                    release(self.sim, packet)
+                return
 
         # DCP packet trimming module (§4.2).
         if (self.config.enable_trimming

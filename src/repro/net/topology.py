@@ -152,17 +152,24 @@ def build_clos(sim: Simulator, hosts: Sequence, num_leaves: int, num_spines: int
             _wire_switch_to_switch(sim, leaf, hosts_per_leaf + si, spine, li,
                                    spine_link_delay_ns)
 
-    # Routing tables.
-    for dst, host in enumerate(hosts):
-        dst_leaf = dst // hosts_per_leaf
-        for li, leaf in enumerate(leaves):
-            if li == dst_leaf:
-                leaf.add_route(host.host_id, dst % hosts_per_leaf)
+    # Routing tables: one shared uplink list per leaf for all its remote
+    # destinations, one shared ``[leaf]`` list per destination leaf on
+    # every spine, one single-port list per local host.  Entries are
+    # read-only (DESIGN.md "Fabric construction"), so O(links + hosts)
+    # lists serve what would be hosts x leaves x spines route slots.
+    to_leaf = [[li] for li in range(num_leaves)]
+    for li, leaf in enumerate(leaves):
+        uplinks = list(range(hosts_per_leaf, hosts_per_leaf + num_spines))
+        table = leaf.routing_table
+        for dst, host in enumerate(hosts):
+            if dst // hosts_per_leaf == li:
+                table[host.host_id] = [dst % hosts_per_leaf]
             else:
-                for si in range(num_spines):
-                    leaf.add_route(host.host_id, hosts_per_leaf + si)
-        for spine in spines:
-            spine.add_route(host.host_id, dst_leaf)
+                table[host.host_id] = uplinks
+    for spine in spines:
+        table = spine.routing_table
+        for dst, host in enumerate(hosts):
+            table[host.host_id] = to_leaf[dst // hosts_per_leaf]
 
     def oneway(src: int, dst: int) -> int:
         if src // hosts_per_leaf == dst // hosts_per_leaf:
@@ -219,11 +226,17 @@ def build_testbed(sim: Simulator, hosts: Sequence,
         _wire_switch_to_switch(sim, sw1, half + c, sw2, half + c,
                                cross_link_delay_ns)
 
+    # Shared read-only entries, as in build_clos: one cross-link list
+    # per switch for every destination on the other side.
+    cross1 = list(range(half, half + cross_links))
+    cross2 = list(cross1)
     for dst, host in enumerate(hosts):
-        local_sw, remote_sw = (sw1, sw2) if dst < half else (sw2, sw1)
-        local_sw.add_route(host.host_id, dst % half)
-        for c in range(cross_links):
-            remote_sw.add_route(host.host_id, half + c)
+        if dst < half:
+            sw1.routing_table[host.host_id] = [dst]
+            sw2.routing_table[host.host_id] = cross2
+        else:
+            sw2.routing_table[host.host_id] = [dst - half]
+            sw1.routing_table[host.host_id] = cross1
 
     def oneway(src: int, dst: int) -> int:
         if (src < half) == (dst < half):

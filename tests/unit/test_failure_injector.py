@@ -112,6 +112,54 @@ def test_converge_routing_overlapping_failures_no_double_append():
         assert ports.count(port) <= 1
 
 
+def test_converge_routing_clos_interleaved_recoveries():
+    """Two uplinks of one leaf fail; the first to fail recovers first.
+
+    Route entries are shared lists, so convergence must replace them
+    rather than edit them in place: the other leaves (and the spines)
+    keep their very same entry objects through the outage, and the
+    FIFO recovery order still lands every port at its original index.
+    """
+    net = build_network(transport="dcp", topology="clos", num_hosts=16,
+                        num_leaves=4, num_spines=4, link_rate=10.0,
+                        lb="ecmp", seed=7)
+    leaves, spines = net.fabric.switches[:4], net.fabric.switches[4:]
+    leaf0 = leaves[0]
+    others = leaves[1:] + spines
+    before = {dst: list(ports) for dst, ports in leaf0.routing_table.items()}
+    others_before = [dict(sw.routing_table) for sw in others]
+    uplinks = leaf0.routing_table[15]
+    assert uplinks == [4, 5, 6, 7]
+
+    inj = FailureInjector(net.sim)
+    inj.fail_link(leaf0, 4, at_ns=10, recover_at_ns=30,
+                  converge_routing=True)
+    inj.fail_link(leaf0, 5, at_ns=20, recover_at_ns=40,
+                  converge_routing=True)
+
+    def check_others():
+        for sw, table in zip(others, others_before):
+            assert sw.routing_table.keys() == table.keys()
+            assert all(sw.routing_table[dst] is entry
+                       for dst, entry in table.items())
+        assert uplinks == [4, 5, 6, 7]
+
+    net.sim.run(until=25)
+    remote = [leaf0.routing_table[dst] for dst in range(4, 16)]
+    assert all(entry == [6, 7] for entry in remote)
+    assert all(entry is remote[0] for entry in remote)
+    assert all(leaf0.routing_table[dst] == [dst] for dst in range(4))
+    check_others()
+    net.sim.run(until=35)
+    assert all(leaf0.routing_table[dst] == [4, 6, 7] for dst in range(4, 16))
+    check_others()
+    net.sim.run(until=100)
+    assert {dst: list(ports) for dst, ports in leaf0.routing_table.items()} \
+        == before
+    assert all(leaf0.routing_table[dst] is uplinks for dst in range(4, 16))
+    check_others()
+
+
 # ------------------------------------ bug 3: blackout both directions
 def test_fail_switch_downs_both_directions_of_every_cable():
     net, sw1, sw2 = _testbed(cross_links=2)

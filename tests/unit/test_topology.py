@@ -111,6 +111,77 @@ class TestTestbed:
         assert sw1.ports[3].rate == 1.0
 
 
+def _route_lists(switches):
+    return {id(entry): entry for sw in switches
+            for entry in sw.routing_table.values()}
+
+
+class TestSharedRoutes:
+    """Route entries are shared read-only lists: O(links + hosts) of
+    them, not one fresh uplink list per (switch, remote host)."""
+
+    def test_clos_remote_entries_shared(self):
+        sim = Simulator()
+        hosts = _hosts(sim, 16)
+        fab = build_clos(sim, hosts, num_leaves=4, num_spines=3,
+                         switch_config_factory=_cfg,
+                         lb_factory=EcmpLoadBalancer)
+        leaves, spines = fab.switches[:4], fab.switches[4:]
+        for li, leaf in enumerate(leaves):
+            remote = [leaf.routing_table[h] for h in range(16)
+                      if h // 4 != li]
+            assert all(entry is remote[0] for entry in remote)
+            assert remote[0] == [4, 5, 6]
+            for h in range(li * 4, li * 4 + 4):
+                assert leaf.routing_table[h] == [h % 4]
+        for dst_leaf in range(4):
+            entries = [spine.routing_table[h] for spine in spines
+                       for h in range(dst_leaf * 4, dst_leaf * 4 + 4)]
+            assert all(entry is entries[0] for entry in entries)
+            assert entries[0] == [dst_leaf]
+        assert len(_route_lists(fab.switches)) <= 16 + 2 * 4
+
+    def test_testbed_remote_entries_shared(self):
+        sim = Simulator()
+        hosts = _hosts(sim, 8)
+        fab = build_testbed(sim, hosts, _cfg, EcmpLoadBalancer,
+                            cross_links=4)
+        for side, sw in enumerate(fab.switches):
+            remote = [sw.routing_table[h] for h in range(8)
+                      if h // 4 != side]
+            assert all(entry is remote[0] for entry in remote)
+            assert remote[0] == [4, 5, 6, 7]
+        sw1, sw2 = fab.switches
+        assert sw1.routing_table[5] is not sw2.routing_table[0]
+        assert len(_route_lists(fab.switches)) <= 8 + 2 * 2
+
+    def test_add_route_never_mutates_a_shared_entry(self):
+        sim = Simulator()
+        hosts = _hosts(sim, 8)
+        fab = build_clos(sim, hosts, 2, 2, _cfg, EcmpLoadBalancer)
+        leaf0 = fab.switches[0]
+        shared = leaf0.routing_table[4]
+        leaf0.add_route(4, 0)
+        assert leaf0.routing_table[4] == [4, 5, 0]
+        assert shared == [4, 5] and leaf0.routing_table[5] is shared
+
+
+@pytest.mark.parametrize("topology", ["clos", "testbed"])
+def test_lossless_run_never_seeds_a_loss_rng(topology):
+    net = build_network(transport="dcp", topology=topology, num_hosts=8,
+                        num_leaves=2, num_spines=2, cross_links=2,
+                        link_rate=10.0)
+    flows = [net.open_flow(src, (src + 5) % 8, 20_000, 0)
+             for src in range(8)]
+    net.run_until_flows_done(max_events=5_000_000)
+    assert all(f.completed for f in flows)
+    links = [p.link for sw in net.fabric.switches for p in sw.ports]
+    links += [host.nic.link for host in net.fabric.hosts]
+    assert sum(link.delivered_packets for link in links) > 0
+    assert all(link._loss_rng is None for link in links)
+    assert all(sw._loss_rng is None for sw in net.fabric.switches)
+
+
 class TestDelivery:
     def test_all_pairs_reachable_clos(self):
         net = build_network(transport="gbn", topology="clos", num_hosts=8,
