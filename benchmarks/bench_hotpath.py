@@ -1,8 +1,6 @@
 """Hot-path benchmark: wall time and event/packet rates at fig8-quick.
 
-Produces the records committed in ``BENCH_hotpath.json`` — one record
-per event-kernel backend (``REPRO_KERNEL``), so the file is a
-trajectory across backends rather than a single point:
+Produces the record committed in ``BENCH_hotpath.json``:
 
 * ``fig8_quick_wall_s`` — wall time of the full fig8 sweep at the
   ``quick`` preset (serial, cache off, telemetry off), min over
@@ -16,10 +14,6 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/bench_hotpath.py --out current.json
     python benchmarks/compare.py BENCH_hotpath.json current.json
 
-``--kernels`` selects the backends to measure (comma-separated);
-the default ``auto`` measures every backend available on this install
-(``array`` is skipped without numpy).
-
 The committed baselines were measured on the machine that produced the
 refactor; cross-machine comparisons need the loose CI bound
 (``--max-regression 2.0``), same-machine regression hunts can use the
@@ -31,7 +25,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import platform
 import sys
 import time
@@ -40,7 +33,6 @@ from repro.experiments import fig8_basic_perf as fig8
 from repro.experiments.common import Network
 from repro.experiments.presets import get_preset
 from repro.runner import ExperimentRunner, ResultCache
-from repro.sim.kernel import KERNEL_ENV, available_backends
 
 
 def _run_points_direct() -> tuple[float, int, int]:
@@ -71,25 +63,18 @@ def _run_sweep_wall() -> float:
     return time.perf_counter() - start
 
 
-def _measure_backend(backend: str, repeats: int) -> dict:
-    """One full measurement pass with ``REPRO_KERNEL=backend``."""
-    previous = os.environ.get(KERNEL_ENV)
-    os.environ[KERNEL_ENV] = backend
-    try:
-        # Warm pass: imports, bytecode, allocator pools.
-        _run_points_direct()
-        direct = min((_run_points_direct() for _ in range(repeats)),
-                     key=lambda r: r[0])
-        sweep_wall = min(_run_sweep_wall() for _ in range(repeats))
-    finally:
-        if previous is None:
-            del os.environ[KERNEL_ENV]
-        else:
-            os.environ[KERNEL_ENV] = previous
-    wall, events, packets = direct
+def _measure(repeats: int) -> dict:
+    """One full measurement pass."""
+    # Warm pass: imports, bytecode, allocator pools.
+    _run_points_direct()
+    wall, events, packets = min(
+        (_run_points_direct() for _ in range(repeats)), key=lambda r: r[0])
+    sweep_wall = min(_run_sweep_wall() for _ in range(repeats))
     return {
         "benchmark": "hotpath",
-        "backend": backend,
+        # There is one event kernel; the field stays because the committed
+        # baselines key their records on it (compare.record_key).
+        "backend": "ref",
         "preset": "fig8-quick",
         "repeats": repeats,
         "fig8_quick_wall_s": round(sweep_wall, 6),
@@ -108,31 +93,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5, metavar="N",
                         help="take the minimum over N runs (default: 5)")
-    parser.add_argument("--kernels", default="auto", metavar="LIST",
-                        help="comma-separated kernel backends to measure, "
-                             "or 'auto' for every available backend "
-                             "(default: auto)")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the JSON records here (default: stdout)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if args.kernels == "auto":
-        backends = available_backends()
-    else:
-        backends = [b.strip() for b in args.kernels.split(",") if b.strip()]
-        if not backends:
-            parser.error("--kernels selected no backends")
-        unknown = [b for b in backends if b not in available_backends()]
-        if unknown:
-            parser.error(
-                f"unavailable kernel backend(s): {', '.join(unknown)} "
-                f"(available: {', '.join(available_backends())})")
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        records = [_measure_backend(b, args.repeats) for b in backends]
+        records = [_measure(args.repeats)]
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -31,14 +31,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import platform
 import sys
 import time
 
 from repro.experiments.presets import get_preset
 from repro.experiments.scale import PACKET_MAX_HOSTS, point_spec, run_scale_point
-from repro.sim.kernel import KERNEL_ENV
 
 #: (fidelity, hosts) grid measured by default.
 GRID = (("packet", 16), ("packet", 64),
@@ -53,7 +51,9 @@ def _measure_cell(fidelity: str, hosts: int, preset, repeats: int) -> dict:
     best = min(payloads, key=lambda p: p["wall_s"])
     record = {
         "benchmark": "scale",
-        "backend": os.environ.get(KERNEL_ENV, "ref"),
+        # There is one event kernel; the field stays because the committed
+        # baselines key their records on it (compare.record_key).
+        "backend": "ref",
         "fidelity": fidelity,
         "hosts": hosts,
         "preset": preset.name,

@@ -5,8 +5,6 @@
     python benchmarks/compare.py BENCH_hotpath.json current.json
     python benchmarks/compare.py BENCH_scale.json current.json \
         --max-regression 2.0     # loose cross-machine bound (CI)
-    python benchmarks/compare.py BENCH_hotpath.json current.json \
-        --relative-floor array:ref:0.9   # array must keep >=0.9x of ref
 
 Both files hold a list of benchmark records.  Records are matched by
 the tuple ``(benchmark, backend, fidelity, hosts)`` — ``hotpath``
@@ -23,12 +21,6 @@ more than the allowed factor: wall time higher, or event/packet rates
 lower.  The default factor of 1.2 (±20 %) absorbs normal same-machine
 noise; CI runs on shared machines of unknown speed and uses 2.0.
 Improvements never fail, and are reported the same way.
-
-``--relative-floor A:B:F`` additionally checks the *current* records
-against each other: backend A must be no slower than F times backend B
-on every metric, within every ``(benchmark, fidelity, hosts)`` group
-where both backends were measured.  This is a same-run comparison, so
-it is machine-noise free and safe at tight factors.
 
 No third-party dependencies — plain stdlib, so it runs anywhere the
 repo does.
@@ -177,54 +169,6 @@ def compare(baseline, current, max_regression: float) -> list[str]:
     return failures
 
 
-def relative_floor(current, spec: str) -> list[str]:
-    """Check backend A vs backend B within the *current* run.
-
-    ``spec`` is ``A:B:F``: backend A must be no slower than F times
-    backend B on every metric (F < 1 allows A to be slightly slower,
-    F = 1 requires parity or better).  The check runs per
-    ``(benchmark, fidelity, hosts)`` group; at least one group must
-    contain both backends.
-    """
-    try:
-        fast, slow, factor_s = spec.split(":")
-        factor = float(factor_s)
-    except ValueError:
-        raise CompareError(
-            f"bad --relative-floor {spec!r} (expected A:B:FACTOR, "
-            f"e.g. array:ref:0.9)")
-    if factor <= 0:
-        raise CompareError("--relative-floor factor must be > 0")
-    cur_by = _index(current, "current")
-    groups = {}
-    for (benchmark, backend, fidelity, hosts), record in cur_by.items():
-        groups.setdefault((benchmark, fidelity, hosts), {})[backend] = record
-    pairs = [(g, by) for g, by in sorted(groups.items())
-             if fast in by and slow in by]
-    if not pairs:
-        raise CompareError(
-            f"--relative-floor backends {fast!r} and {slow!r} never "
-            f"measured together in current file (backends present: "
-            f"{', '.join(sorted({k[1] for k in cur_by}))})")
-    failures = []
-    for (benchmark, fidelity, hosts), by in pairs:
-        tag = _fmt_key((benchmark, fast, fidelity, hosts))
-        for name, higher_is_better in _metrics_for(
-                (benchmark, fast, fidelity, hosts)).items():
-            a = _metric(by[fast], name, f"current[{tag}]")
-            b = _metric(by[slow], name, f"current[{slow}]")
-            # Speed of A relative to B; > 1 means A is faster.
-            speed = a / b if higher_is_better else b / a
-            verdict = "BELOW FLOOR" if speed < factor else "ok"
-            print(f"floor {tag:22s} {name:20s} {fast}={a:<12g} "
-                  f"{slow}={b:<12g} {speed:5.2f}x  [{verdict}]")
-            if speed < factor:
-                failures.append(
-                    f"{tag}/{name}: {speed:.2f}x of {slow} "
-                    f"(floor {factor:.2f}x)")
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="baseline JSON (e.g. BENCH_hotpath.json)")
@@ -233,10 +177,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="FACTOR",
                         help="fail when current is more than FACTOR times "
                              "slower than its baseline (default: 1.2)")
-    parser.add_argument("--relative-floor", default=None, metavar="A:B:F",
-                        help="additionally require current backend A to be "
-                             "no slower than F times current backend B "
-                             "(e.g. array:ref:0.9)")
     args = parser.parse_args(argv)
     if args.max_regression <= 1.0:
         parser.error("--max-regression must be > 1.0")
@@ -260,8 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         failures = compare(records["baseline"], records["current"],
                            args.max_regression)
-        if args.relative_floor:
-            failures += relative_floor(records["current"], args.relative_floor)
     except CompareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

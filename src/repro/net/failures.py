@@ -55,16 +55,14 @@ class FailureEvent:
 
 
 class FailureInjector:
-    """Schedules link/switch failures against a wired fabric."""
+    """Schedules link/switch failures against a wired fabric.
+
+    Constructing an injector marks the simulator ``chaos_active``: the
+    hybrid-fidelity controller then keeps every flow at packet level.
+    """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        # Failure injection must observe the dataplane mid-flight:
-        # precomputed burst schedules would let packets depart (or
-        # arrive) across a link that goes down between the precompute
-        # and the slot time.  Chaos runs therefore stay on the serial
-        # slow path by design.
-        sim.burst_enabled = False
         # Flag the scenario for the hybrid-fidelity controller: flows
         # must not run in the analytic tier while failures are armed.
         sim.chaos_active = True

@@ -243,11 +243,6 @@ class Switch:
             port.buffered_packets += 1
             if not port.busy:
                 port._send_next()
-            elif port._burst_cls >= 0 and port._burst_cls != DATA_CLASS:
-                # Data became servable under a precomputed control-class
-                # drain: the remaining slots no longer match what the
-                # scheduler would pick.
-                port._truncate_burst()
             stats.forwarded += 1
         elif act == _ACT_TRIM:
             packet.trim()

@@ -29,7 +29,9 @@ from typing import Any, Optional
 #: blocks (per-flow FCT attribution) to their payloads.
 #: v6: NetworkSpec gained the ``fidelity`` field (hybrid-fidelity tier),
 #: which changes every spec hash.
-CACHE_VERSION = 6
+#: v7: the batched (burst) dataplane is gone; payloads it wrote carry
+#: results the serial dataplane does not reproduce.
+CACHE_VERSION = 7
 
 
 def default_cache_dir() -> Path:

@@ -30,8 +30,11 @@ from multiprocessing import get_context
 from typing import Any, Callable, Optional, Sequence
 
 from repro.experiments.common import NetworkSpec
+from repro.obs import registry as metrics
+from repro.obs import spans
 from repro.runner.cache import ResultCache
 from repro.runner.spec_hash import cache_key, canonicalize
+from repro.sim import trace
 from repro.sim.rng import SeedSequence
 
 #: ``fork`` shares the warm interpreter with workers (cheap, and the
@@ -70,13 +73,26 @@ def _execute_point(task: tuple[int, str, str, str, dict, dict]) -> tuple[int, An
     Reseeds the global RNG from a per-point ``SeedSequence`` spawn
     first, so any component that (incorrectly) reaches for module-level
     :mod:`random` still behaves identically under any worker schedule.
+    The process-wide metrics registry, tracer and span tracker are
+    cleared for the call: a point reports only what its payload
+    carries, so an inline point cannot leak into the caller's observers
+    when a worker's copy of them would be discarded.
     """
     index, runner_path, experiment, point_id, spec_dict, params = task
     seeds = SeedSequence(int(spec_dict.get("seed", 1))).spawn(
         f"{experiment}:{point_id}")
     _global_random.seed(seeds.stream("global-random").getrandbits(64))
     spec = NetworkSpec.from_dict(spec_dict)
-    payload = _resolve(runner_path)(spec, params)
+    observers = (metrics.active(), trace.active(), spans.active())
+    metrics.install(None)
+    trace.install(None)
+    spans.install(None)
+    try:
+        payload = _resolve(runner_path)(spec, params)
+    finally:
+        metrics.install(observers[0])
+        trace.install(observers[1])
+        spans.install(observers[2])
     return index, canonicalize(payload)
 
 

@@ -4,26 +4,14 @@ The whole reproduction is built on this engine.  It is deliberately
 minimal: an integer-nanosecond clock driving a totally-ordered queue of
 ``(time, sequence, callback)`` entries.  The queue itself — the event
 stores, insertion paths, lazy cancellation, and the drain loop — lives
-behind the :class:`~repro.sim.kernel.base.EventKernel` seam in
-:mod:`repro.sim.kernel`, with interchangeable backends selected by the
-``REPRO_KERNEL`` environment variable:
-
-* ``ref`` (default) — the pure-Python hierarchical timer wheel + binary
-  heap the simulator has always run on;
-* ``array`` — a numpy batch backend (vectorized bucket drain, record
-  sorting, and serialization arithmetic), available via the optional
-  ``[kernel]`` extra and falling back to ``ref`` when numpy is absent.
-
-Backends are required to produce bit-identical event streams — same
-``(when, seq)`` pop order, same FIFO tie-breaking, same
-``events_processed`` accounting — so every experiment table and cache
-payload is byte-identical regardless of ``REPRO_KERNEL``.
-
-:class:`Simulator` holds the run-visible state (``now``,
-``events_processed``, the packet-sequence counter, the packet pool, the
-burst gate) and binds the kernel's entry points as instance attributes
-at construction, so hot callers pay no delegation cost: ``sim.schedule``
-*is* the kernel's bound method.
+in :class:`~repro.sim.kernel.ref.RefKernel`, whose ``(when, seq)``
+ordering and count-neutral lazy cancellation are stated in
+:mod:`repro.sim.kernel.base`.  :class:`Simulator` holds the run-visible
+state (``now``, ``events_processed``, the packet-sequence counter, the
+packet pool) and binds the kernel's entry points as instance
+attributes, so hot callers pay no delegation cost: ``sim.schedule``
+*is* the kernel's bound method.  Every packet hop is one event; there
+is no batched dataplane.
 
 Callbacks are plain callables; there is no coroutine machinery, which
 keeps the per-event overhead low enough for packet-level simulation in
@@ -37,11 +25,9 @@ live in :mod:`repro.sim.units`.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
-from repro.sim.kernel import make_kernel
-from repro.sim.kernel.base import CancelledToken
+from repro.sim.kernel import CancelledToken, resolve_backend
 
 __all__ = [
     "CancelledToken",
@@ -60,15 +46,14 @@ class Simulator:
         sim.schedule(1_000, lambda: print("one microsecond"))
         sim.run()
 
-    The event queue lives in ``self.kernel`` (an
-    :class:`~repro.sim.kernel.base.EventKernel`); ``schedule``,
-    ``call_after``, ``call_after_bulk``, ``run``, ``peek_time`` and
-    ``pending`` are the kernel's bound methods, installed as instance
-    attributes.  Only the kernel's drain loop writes ``now`` and
-    ``events_processed``.
+    The event queue lives in ``self.kernel`` (a
+    :class:`~repro.sim.kernel.ref.RefKernel`); ``schedule``,
+    ``call_after``, ``run``, ``peek_time`` and ``pending`` are the
+    kernel's bound methods, installed as instance attributes.  Only the
+    kernel's drain loop writes ``now`` and ``events_processed``.
     """
 
-    def __init__(self, kernel: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         self._running: bool = False
         self.events_processed: int = 0
@@ -79,23 +64,14 @@ class Simulator:
         #: Slot for a per-simulation packet free-list pool; installed by
         #: the net layer (the engine itself is packet-agnostic).
         self.packet_pool = None
-        #: Burst-mode dataplane gate (``REPRO_BURST=0`` reverts every
-        #: layer to one-event-per-call scheduling).  The chaos subsystem
-        #: clears it at injector construction: failure injection must
-        #: observe the dataplane mid-flight, so chaos runs stay on the
-        #: slow path by design.
-        self.burst_enabled: bool = os.environ.get("REPRO_BURST", "1") != "0"
         #: Set by the chaos subsystem when a failure scenario is armed;
         #: the hybrid-fidelity controller treats it as a standing
         #: falsifier (chaos runs are packet-level end to end).
         self.chaos_active: bool = False
         # --- kernel binding ----------------------------------------------
-        #: The event-kernel backend (``REPRO_KERNEL`` selects it; an
-        #: explicit ``kernel=`` name overrides the environment).
-        self.kernel = make_kernel(self, kernel)
+        self.kernel = resolve_backend()(self)
         self.schedule = self.kernel.schedule
         self.call_after = self.kernel.call_after
-        self.call_after_bulk = self.kernel.schedule_bulk
         self.run = self.kernel.drain
         self.peek_time = self.kernel.peek_time
         self.pending = self.kernel.pending

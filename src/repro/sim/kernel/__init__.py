@@ -1,95 +1,26 @@
-"""Event-kernel backend selection.
+"""The event kernel behind :class:`~repro.sim.engine.Simulator`.
 
-The engine's inner loop is pluggable (see :mod:`repro.sim.kernel.base`
-for the interface contract).  Backends are selected by the
-``REPRO_KERNEL`` environment variable:
-
-* ``ref`` (default) — the pure-Python wheel+heap reference kernel;
-  always available, the semantic contract every backend must match.
-* ``array`` — the numpy batch kernel; requires the optional
-  ``[kernel]`` extra.  When numpy is missing, selection falls back to
-  ``ref`` with a one-time :class:`RuntimeWarning` instead of failing —
-  experiment scripts must keep working on a bare install.
-
-Unknown backend names are a hard error (listing what *is* available),
-not a silent fallback: a typo in ``REPRO_KERNEL`` must not quietly
-change which code ran a benchmark.
+:mod:`repro.sim.kernel.base` states the interface and its ``(when,
+seq)`` ordering and lazy-cancellation contract; :class:`RefKernel` (a
+pure-Python timer wheel plus binary heap) is the one implementation.
+:func:`resolve_backend` is the single place that names the kernel
+class, so profilers can wrap its ``drain`` before any simulator is
+built.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
-from typing import Optional
 
 from repro.sim.kernel.base import CancelledToken, EventKernel
 from repro.sim.kernel.ref import RefKernel
 
 __all__ = [
-    "KERNEL_ENV",
     "CancelledToken",
     "EventKernel",
     "RefKernel",
-    "available_backends",
-    "make_kernel",
     "resolve_backend",
 ]
 
-#: Environment variable naming the kernel backend.
-KERNEL_ENV = "REPRO_KERNEL"
 
-_FALLBACK_WARNED = False
-
-
-def _array_kernel():
-    """The ArrayKernel class, or None when numpy is unavailable."""
-    try:
-        from repro.sim.kernel.array_np import ArrayKernel
-    except ImportError:
-        return None
-    return ArrayKernel
-
-
-def available_backends() -> list[str]:
-    """Backend names usable on this install, in preference order."""
-    names = ["ref"]
-    if _array_kernel() is not None:
-        names.append("array")
-    return names
-
-
-def resolve_backend(name: Optional[str] = None) -> type[EventKernel]:
-    """Resolve a backend name (default: ``$REPRO_KERNEL`` or ``ref``).
-
-    Returns the kernel class.  ``array`` without numpy degrades to
-    ``ref`` with a one-time warning; names that exist on no install are
-    a :class:`ValueError`.
-    """
-    global _FALLBACK_WARNED
-    if name is None:
-        name = os.environ.get(KERNEL_ENV, "ref") or "ref"
-    if name == "ref":
-        return RefKernel
-    if name == "array":
-        cls = _array_kernel()
-        if cls is not None:
-            return cls
-        if not _FALLBACK_WARNED:
-            _FALLBACK_WARNED = True
-            warnings.warn(
-                "REPRO_KERNEL=array requested but numpy is not installed; "
-                "falling back to the 'ref' kernel "
-                "(install the [kernel] extra for the array backend)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return RefKernel
-    raise ValueError(
-        f"unknown event-kernel backend {name!r} "
-        f"(available: {', '.join(available_backends())})"
-    )
-
-
-def make_kernel(sim, name: Optional[str] = None) -> EventKernel:
-    """Instantiate the selected kernel bound to ``sim``."""
-    return resolve_backend(name)(sim)
+def resolve_backend() -> type[EventKernel]:
+    """The event-kernel class every :class:`Simulator` instantiates."""
+    return RefKernel

@@ -1,44 +1,33 @@
-"""The event-kernel interface: the seam all dataplane backends plug into.
+"""The event-kernel interface.
 
 An :class:`EventKernel` owns the engine's inner loop — the event stores,
-insertion (single, fast-path, bulk), lazy cancellation, and the drain
+insertion (cancellable and fast-path), lazy cancellation, and the drain
 loop that advances the simulation clock.  :class:`~repro.sim.engine.Simulator`
 is a thin facade: it holds the run-visible state (``now``,
-``events_processed``, ``packet_seq``, the packet pool, the burst gate)
-and binds the selected kernel's entry points as instance attributes, so
-callers pay no delegation cost.
+``events_processed``, ``packet_seq``, the packet pool) and binds the
+kernel's entry points as instance attributes, so callers pay no
+delegation cost.  :class:`~repro.sim.kernel.ref.RefKernel` is the one
+implementation.
 
-The contract every backend must honour (enforced by
-``tests/unit/test_engine.py`` and the bit-identity gate matrix in
-``tests/integration/test_burst_identity.py``):
+The contract (enforced by ``tests/unit/test_engine.py`` and
+``tests/property/test_engine_props.py``):
 
 * **Total order is ``(when, seq)``.**  Every scheduled event gets a
   globally unique, monotonically increasing sequence number; events
   fire in exact ``(when, seq)`` order.  FIFO tie-breaking at equal
   timestamps is load-bearing — transports rely on ACK-before-data
   causality at shared timestamps.
-* **Bulk insertion is indistinguishable from N single insertions** in
-  list order: consecutive sequence numbers, identical tie-breaking.
 * **Cancellation is lazy and count-neutral.**  A cancelled entry stays
   queued but is skipped when due *without* counting toward
-  ``events_processed`` — the burst dataplane's truncation protocol
-  ("cancel N slots, schedule 1 replacement") depends on the skip being
-  invisible in the event count.
+  ``events_processed``.
 * **Clock accounting lives in the kernel.**  Only the drain loop writes
-  ``sim.now`` and ``sim.events_processed``; a backend must update them
-  exactly once per fired event, before invoking the callback.
-
-Backends are selected per-``Simulator`` by the ``REPRO_KERNEL``
-environment variable (see :mod:`repro.sim.kernel`); the event stream,
-and therefore every experiment table and cache payload, must be
-byte-identical across backends.
+  ``sim.now`` and ``sim.events_processed``, exactly once per fired
+  event, before invoking the callback.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-from repro.sim.units import serialization_ns
 
 
 class CancelledToken:
@@ -46,10 +35,10 @@ class CancelledToken:
 
     Cancellation is lazy: the entry stays in its event store but is
     skipped when due.  Tokens resident in a kernel's far store (the
-    heap in the reference backend) additionally report their death to
-    the owning kernel so it can compact once the dead fraction passes
-    50%; the kernel sets ``_owner`` at insertion and detaches it when
-    the event fires, so a late ``cancel()`` is never miscounted.
+    heap) additionally report their death to the owning kernel so it
+    can compact once the dead fraction passes 50%; the kernel sets
+    ``_owner`` at insertion and detaches it when the event fires, so a
+    late ``cancel()`` is never miscounted.
     """
 
     __slots__ = ("cancelled", "_owner")
@@ -68,11 +57,7 @@ class CancelledToken:
 
 
 class EventKernel:
-    """Base class for event-kernel backends.
-
-    Subclasses implement the full interface; the base provides only the
-    backend-agnostic batch serialization arithmetic (which array-style
-    backends override with vectorized versions).
+    """Base class for event kernels.
 
     Interface
     ---------
@@ -81,9 +66,6 @@ class EventKernel:
     ``call_after(delay, fn, *args) -> None``
         Uncancellable fast path: no token allocation, positional args
         ride in the entry itself.
-    ``schedule_bulk(items, token=None) -> None``
-        Insert many ``(delay, fn, args)`` entries with consecutive
-        sequence numbers; an optional shared token cancels the batch.
     ``drain(until=None, max_events=None) -> None``
         The inner loop: pop events in ``(when, seq)`` order, advance
         ``sim.now``/``sim.events_processed``, run callbacks.  Exposed
@@ -92,44 +74,13 @@ class EventKernel:
         Time of the next live event, or None.
     ``pending() -> int``
         Number of queued (possibly cancelled) events.
-    ``departure_delays(sizes, int_rate, rate) -> list[int]``
-        Batch serialization arithmetic for burst trains (below).
     """
-
-    #: Backend name as selected by ``REPRO_KERNEL``.
-    name = "abstract"
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        #: Dead-entry count of the far store (heap / record array);
-        #: :meth:`CancelledToken.cancel` increments it directly.
+        #: Dead-entry count of the far store; :meth:`CancelledToken.cancel`
+        #: increments it directly.
         self._heap_dead = 0
-
-    # ------------------------------------------------- batch arithmetic
-    def departure_delays(self, sizes: list[int], int_rate: int,
-                         rate: float) -> list[int]:
-        """Cumulative serialization delays of back-to-back frames.
-
-        ``sizes`` are frame sizes in bytes; the result's ``i``-th entry
-        is the delay (ns from now) at which frame ``i`` finishes
-        serializing, assuming frames go out back to back starting now.
-        ``int_rate`` is the integer line rate in bits/ns when the rate
-        is integral (the division-free path), else 0 and ``rate`` is
-        used through :func:`repro.sim.units.serialization_ns` — the
-        rounding of both paths must match the scalar per-packet sites
-        exactly, or burst and serial event streams diverge.
-        """
-        delays: list[int] = []
-        total = 0
-        if int_rate:
-            for size in sizes:
-                total += -(-size * 8 // int_rate)
-                delays.append(total)
-        else:
-            for size in sizes:
-                total += serialization_ns(size, rate)
-                delays.append(total)
-        return delays
 
     # ---------------------------------------------------- interface stubs
     def schedule(self, delay: int,
@@ -137,10 +88,6 @@ class EventKernel:
         raise NotImplementedError
 
     def call_after(self, delay: int, fn: Callable, *args) -> None:
-        raise NotImplementedError
-
-    def schedule_bulk(self, items: list[tuple],
-                      token: Optional[CancelledToken] = None) -> None:
         raise NotImplementedError
 
     def drain(self, until: Optional[int] = None,

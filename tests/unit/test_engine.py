@@ -188,101 +188,84 @@ def test_mid_run_heap_compaction_keeps_event_stream_intact():
     assert sim.events_processed == 1 + 40 + 1 + 1
 
 
-# ------------------------------------------------- kernel backend selection
+# ---------------------------------------------------------- event kernel
 
-import sys
+import heapq
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.kernel as kernel_pkg
-from repro.sim.engine import CancelledToken
-
-try:
-    import numpy  # noqa: F401
-    _HAVE_NUMPY = True
-except ImportError:
-    _HAVE_NUMPY = False
-
-def test_default_kernel_is_ref(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert Simulator().kernel.name == "ref"
+from repro.sim.kernel import RefKernel, resolve_backend
 
 
-def test_env_selects_kernel(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    assert Simulator().kernel.name == "ref"
+def test_default_kernel_is_ref():
+    assert resolve_backend() is RefKernel
+    assert type(Simulator().kernel) is RefKernel
 
 
-def test_explicit_kernel_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "nonsense")
-    assert Simulator(kernel="ref").kernel.name == "ref"
+class _HeapOracle:
+    """One binary heap of ``(when, seq)`` entries with lazy
+    cancellation: the ordering contract the wheel+heap kernel keeps."""
+
+    def __init__(self):
+        self.now = 0
+        self.events_processed = 0
+        self._heap = []
+        self._seq = 0
+
+    def schedule(self, delay, callback):
+        token = [False]
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + delay, self._seq, token,
+                                    callback, ()))
+        return token
+
+    def call_after(self, delay, fn, *args):
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + delay, self._seq, None,
+                                    fn, args))
+
+    @staticmethod
+    def cancel(token):
+        token[0] = True
+
+    def run(self):
+        while self._heap:
+            when, _, token, fn, args = heapq.heappop(self._heap)
+            if token is not None and token[0]:
+                continue
+            self.now = when
+            self.events_processed += 1
+            fn(*args)
+
+    def pending(self):
+        return len(self._heap)
 
 
-def test_unknown_kernel_is_a_hard_error(monkeypatch):
-    """A typo in REPRO_KERNEL must not silently change the backend."""
-    monkeypatch.setenv("REPRO_KERNEL", "typo")
-    with pytest.raises(ValueError, match="typo"):
-        Simulator()
-
-
-def test_array_requested_without_numpy_falls_back_to_ref(monkeypatch):
-    """Always-on fallback check: runs whether or not numpy is installed.
-
-    Simulates numpy's absence by poisoning ``sys.modules``, so the
-    selection path degrades to ``ref`` with a RuntimeWarning instead of
-    crashing — experiment scripts must keep working on a bare install.
-    """
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    monkeypatch.delitem(sys.modules, "repro.sim.kernel.array_np",
-                        raising=False)
-    monkeypatch.setattr(kernel_pkg, "_FALLBACK_WARNED", False)
-    monkeypatch.setenv("REPRO_KERNEL", "array")
-    assert kernel_pkg.available_backends() == ["ref"]
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        sim = Simulator()
-    assert sim.kernel.name == "ref"
-    fired = []
-    sim.schedule(5, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [5] and sim.events_processed == 1
-
-
-def test_array_present_is_listed_or_absent_consistently():
-    backends = kernel_pkg.available_backends()
-    assert backends[0] == "ref"
-    assert ("array" in backends) == _HAVE_NUMPY
-
-
-# ------------------------------------- ref == array kernel equivalence
-#
-# The property: for arbitrary interleavings of schedule / bulk-schedule
-# / cancel operations whose delays span all three timer tiers (wheel
-# L0 < 2**18 ns, wheel L1 < 2**24 ns, far store beyond the horizon),
-# the two kernels fire the exact same (when, tag) sequence, with the
-# same events_processed accounting.  Half the operations are applied
-# from *inside* callbacks, so mid-run insertion (including behind the
-# ring position) and mid-run cancellation are exercised too.
+# The property: for arbitrary interleavings of schedule / call_after /
+# cancel operations whose delays span all three timer tiers (wheel L0
+# < 2**18 ns, wheel L1 < 2**24 ns, heap beyond the horizon), the kernel
+# fires the exact (when, tag) sequence of a single heap, with the same
+# events_processed accounting.  Half the operations are applied from
+# *inside* callbacks, so mid-run insertion (including behind the ring
+# position) and mid-run cancellation are exercised too.
 
 _TIERED_DELAY = st.one_of(
     st.integers(0, 2**18),            # wheel level 0 span
     st.integers(2**18, 2**24 - 1),    # wheel level 1 span
-    st.integers(2**24, 2**30),        # beyond the horizon: far store
+    st.integers(2**24, 2**30),        # beyond the horizon: heap
 )
 
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("one"), _TIERED_DELAY, st.booleans()),
-        st.tuples(st.just("bulk"),
-                  st.lists(_TIERED_DELAY, min_size=1, max_size=16),
-                  st.booleans()),
+        st.tuples(st.just("fast"), _TIERED_DELAY, st.just(False)),
         st.tuples(st.just("cancel"), st.integers(0, 10**6), st.just(False)),
     ),
     min_size=1, max_size=30)
 
 
-def _drive(kernel_name, ops):
-    sim = Simulator(kernel=kernel_name)
+def _drive(sim, cancel, ops):
     fired = []
     tokens = []
     tags = iter(range(10**9))
@@ -297,18 +280,13 @@ def _drive(kernel_name, ops):
             tag = next(tags)
             tokens.append(sim.schedule(delay, lambda tag=tag: note(tag)))
             if cancel_mid and tokens:
-                tokens[len(tokens) // 2].cancel()
-        elif kind == "bulk":
-            _, delays, cancel_batch = op
-            token = CancelledToken()
-            items = [(d, note, (next(tags),)) for d in delays]
-            sim.call_after_bulk(items, token)
-            if cancel_batch:
-                token.cancel()
+                cancel(tokens[len(tokens) // 2])
+        elif kind == "fast":
+            sim.call_after(op[1], note, next(tags))
         else:
             _, pick, _ = op
             if tokens:
-                tokens[pick % len(tokens)].cancel()
+                cancel(tokens[pick % len(tokens)])
 
     # Half up front, half from inside callbacks at staggered times, so
     # insertion happens both before and during the drain.
@@ -321,10 +299,8 @@ def _drive(kernel_name, ops):
     return fired, sim.events_processed, sim.now
 
 
-@pytest.mark.kernel_array
-@pytest.mark.skipif(not _HAVE_NUMPY,
-                    reason="numpy not installed ([kernel] extra)")
 @settings(deadline=None, max_examples=60)
 @given(ops=_OPS)
-def test_ref_and_array_kernels_pop_identically(ops):
-    assert _drive("ref", ops) == _drive("array", ops)
+def test_ref_kernel_pops_like_a_heap_oracle(ops):
+    assert (_drive(Simulator(), lambda t: t.cancel(), ops)
+            == _drive(_HeapOracle(), _HeapOracle.cancel, ops))

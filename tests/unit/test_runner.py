@@ -364,6 +364,33 @@ class TestTelemetryDeterminism:
         plain2.run_points("tel", points, POINT_RUNNER)
         assert plain2.simulations_executed == 0   # untraced entries intact
 
+    def test_inline_point_leaves_caller_observers_untouched(self):
+        """An inline point sees no caller-installed registry or tracer,
+        exactly like a pool worker: the scale runner installs none of
+        its own, and used to leak its fabric into the CLI's registry
+        under --jobs 1 only."""
+        from repro.experiments import scale
+        from repro.experiments.presets import get_preset
+        from repro.obs import registry as metrics
+        from repro.obs.registry import MetricsRegistry
+        from repro.sim import trace
+
+        spec, params = scale.point_spec(get_preset("quick"), "hybrid", 16)
+        registry, tracer = MetricsRegistry(), trace.Tracer()
+        metrics.install(registry)
+        trace.install(tracer)
+        try:
+            serial_runner().run_points(
+                "scale", [SweepPoint("p", spec, params)],
+                scale.POINT_RUNNER)
+            assert metrics.active() is registry
+            assert trace.active() is tracer
+        finally:
+            metrics.install(None)
+            trace.install(None)
+        assert registry.to_payload() == MetricsRegistry().to_payload()
+        assert not tracer.records
+
     def test_metrics_survive_result_round_trip(self, tmp_path):
         from repro.experiments.registry import run_experiment
         runner = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
