@@ -2,16 +2,15 @@
 produce byte-identical output however it is executed.
 
 For each target — the whole experiment registry (``all``) and every
-library campaign — the CLI runs four ways at the quick preset:
+library campaign — the CLI runs three ways at the quick preset:
 
 1. ``serial``: ``--jobs 1`` into a fresh result cache;
 2. ``jobs2``: ``--jobs 2``, cache off;
 3. ``replay``: ``--jobs 1`` against the cache run 1 filled, which must
-   report ``0 simulations executed``;
-4. ``pool_off``: serial, cache off, ``REPRO_PACKET_POOL=0``.
+   report ``0 simulations executed``.
 
 The printed tables (status lines starting with ``[`` dropped) and the
-``--metrics-out`` JSONL of runs 2–4 must equal run 1 byte for byte.
+``--metrics-out`` JSONL of runs 2 and 3 must equal run 1 byte for byte.
 The one exception is the ``scale`` table's wall-clock columns, which
 time the host, not the model: they are masked before comparison (the
 replay still reproduces them, since ``wall_s`` rides the cache).
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import os
 import re
 import subprocess
 import sys
@@ -47,8 +45,9 @@ def mask_wall_clock(text: str) -> str:
     :data:`WALL_CLOCK_COLUMNS` with ``*``.
 
     Cells are cut at the spans of the table's dash rule (column widths
-    vary with the values), and masked rows are re-joined with two
-    spaces so that width changes do not show either.
+    vary with the values), and the header, the rule and every row are
+    re-joined with two spaces, so a wall-clock value that widens its
+    column does not show either.
     """
     out: list[str] = []
     lines = text.splitlines()
@@ -72,7 +71,7 @@ def mask_wall_clock(text: str) -> str:
                 spans.append((start, pos))
                 start = None
         names = [header[a:b].strip() for a, b in spans]
-        out += [header, rule]
+        out += ["  ".join(names), "  ".join("-" * len(n) for n in names)]
         i += 2
         while i < len(lines) and lines[i] and not lines[i].startswith("note:"):
             cells = [lines[i][a:b].strip() for a, b in spans]
@@ -88,14 +87,12 @@ def replay_executed_nothing(status: str) -> bool:
                      re.M) is not None
 
 
-def run_cli(args: list[str], metrics: Path, env_extra: dict[str, str]
-            ) -> tuple[str, str, str]:
+def run_cli(args: list[str], metrics: Path) -> tuple[str, str, str]:
     """Run the experiment CLI; returns (table, status lines, metrics)."""
-    env = dict(os.environ, **env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "repro.experiments.cli", *args,
          "--metrics-out", str(metrics)],
-        capture_output=True, text=True, env=env, check=False)
+        capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"command failed ({proc.returncode}): {args}")
@@ -107,28 +104,26 @@ def run_cli(args: list[str], metrics: Path, env_extra: dict[str, str]
 
 
 def check_target(target: list[str], workdir: Path) -> bool:
-    """Run one target four ways; True when every run matches serial."""
+    """Run one target three ways; True when every run matches serial."""
     name = "-".join(target)
     cache = workdir / f"{name}-cache"
     common = [*target, "--preset", "quick"]
     runs = {
-        "serial": (["--jobs", "1", "--cache-dir", str(cache)], {}),
-        "jobs2": (["--jobs", "2", "--no-cache"], {}),
-        "replay": (["--jobs", "1", "--cache-dir", str(cache)], {}),
-        "pool_off": (["--jobs", "1", "--no-cache"],
-                     {"REPRO_PACKET_POOL": "0"}),
+        "serial": ["--jobs", "1", "--cache-dir", str(cache)],
+        "jobs2": ["--jobs", "2", "--no-cache"],
+        "replay": ["--jobs", "1", "--cache-dir", str(cache)],
     }
     outputs = {}
-    for mode, (flags, env_extra) in runs.items():
+    for mode, flags in runs.items():
         metrics = workdir / f"{name}-{mode}.jsonl"
-        outputs[mode] = run_cli(common + flags, metrics, env_extra)
+        outputs[mode] = run_cli(common + flags, metrics)
     ok = True
     if not replay_executed_nothing(outputs["replay"][1]):
         print(f"FAIL {name}: cache replay re-simulated:\n"
               f"{outputs['replay'][1]}")
         ok = False
     table, _, metrics = outputs["serial"]
-    for mode in ("jobs2", "replay", "pool_off"):
+    for mode in ("jobs2", "replay"):
         for label, ref, got in (("table", table, outputs[mode][0]),
                                 ("metrics", metrics, outputs[mode][2])):
             if got == ref:
@@ -140,7 +135,7 @@ def check_target(target: list[str], workdir: Path) -> bool:
             print(f"FAIL {name}: {label} differs under {mode}")
             print("\n".join(list(diff)[:20]))
     if ok:
-        print(f"ok   {name}: serial == jobs2 == replay == pool_off "
+        print(f"ok   {name}: serial == jobs2 == replay "
               f"({table.count(chr(10))} table lines, "
               f"{metrics.count(chr(10))} metrics records)")
     return ok

@@ -12,7 +12,7 @@ import random
 import zlib
 from typing import TYPE_CHECKING, Optional, Protocol
 
-from repro.net.packet import PAYLOAD_KINDS, release
+from repro.net.packet import PAYLOAD_KINDS
 from repro.obs.registry import CounterBlock
 from repro.obs import registry as metrics
 from repro.obs import spans
@@ -112,7 +112,6 @@ class Link:
             trace.emit(self.sim.now, "drop", self.name,
                        flow_id=packet.flow_id, psn=packet.psn,
                        reason="link_down")
-            release(self.sim, packet)
             return
         if self.loss_rate > 0.0 and packet.kind in PAYLOAD_KINDS:
             rng = self._loss_rng
@@ -123,7 +122,6 @@ class Link:
                 trace.emit(self.sim.now, "drop", self.name,
                            flow_id=packet.flow_id, psn=packet.psn,
                            reason="loss")
-                release(self.sim, packet)
                 return
         stats = self.stats
         stats.delivered_packets += 1

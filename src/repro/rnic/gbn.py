@@ -105,7 +105,7 @@ class GbnTransport(RnicTransport):
             self.host_id, qp.peer_host_id, msg.flow.flow_id, qp.peer_qpn,
             qp.qpn, snd_nxt, msg.msn, payload, mtu, msg.num_pkts,
             msg.size_bytes, off, False, -1, 0, qp.entropy, is_retx, 0,
-            self.pool)
+            self.sim)
         if is_retx:
             self.count_retransmit(msg.flow)
         else:
@@ -142,7 +142,7 @@ class GbnTransport(RnicTransport):
             payload=payload, mtu_payload=self.config.mtu_payload,
             msg_len_pkts=msg.num_pkts, msg_len_bytes=msg.size_bytes,
             msg_offset_pkts=st.snd_nxt - msg.base_psn, dcp=False,
-            entropy=qp.entropy, is_retransmit=is_retx, pool=self.pool,
+            entropy=qp.entropy, is_retransmit=is_retx, sim=self.sim,
         )
         if is_retx:
             self.count_retransmit(msg.flow)
@@ -243,8 +243,8 @@ class GbnTransport(RnicTransport):
 
     def _send_ack(self, qp: QueuePair, kind: PacketKind, ack_psn: int) -> None:
         # Positional make_ack: (flow_id, qpn, src_qpn, kind, ack_psn,
-        # emsn, sack_psn, dcp, entropy, priority, pool).
+        # emsn, ...; dcp, entropy and sim by keyword).
         ack = make_ack(self.host_id, qp.peer_host_id, -1, qp.peer_qpn,
                        qp.qpn, kind, ack_psn, dcp=False, entropy=qp.entropy,
-                       pool=self.pool)
+                       sim=self.sim)
         self.nic.send_control(ack)

@@ -117,7 +117,7 @@ class MpRdmaTransport(RnicTransport):
             payload=payload, mtu_payload=self.config.mtu_payload,
             msg_len_pkts=msg.num_pkts, msg_len_bytes=msg.size_bytes,
             msg_offset_pkts=st.snd_nxt - msg.base_psn, dcp=False,
-            entropy=entropy, is_retransmit=is_retx, pool=self.pool,
+            entropy=entropy, is_retransmit=is_retx, sim=self.sim,
         )
         if is_retx:
             self.count_retransmit(msg.flow)
@@ -207,7 +207,7 @@ class MpRdmaTransport(RnicTransport):
                 nak = make_ack(self.host_id, qp.peer_host_id, flow_id=-1,
                                qpn=qp.peer_qpn, src_qpn=qp.qpn,
                                kind=PacketKind.NAK, ack_psn=st.epsn,
-                               dcp=False, entropy=qp.entropy, pool=self.pool)
+                               dcp=False, entropy=qp.entropy, sim=self.sim)
                 self.nic.send_control(nak)
             return
         if flow is not None:
@@ -225,6 +225,6 @@ class MpRdmaTransport(RnicTransport):
     def _send_ack(self, qp: QueuePair, st: _MpRecvState, ecn: bool) -> None:
         ack = make_ack(self.host_id, qp.peer_host_id, flow_id=-1,
                        qpn=qp.peer_qpn, src_qpn=qp.qpn, kind=PacketKind.ACK,
-                       ack_psn=st.epsn - 1, dcp=False, entropy=qp.entropy, pool=self.pool)
+                       ack_psn=st.epsn - 1, dcp=False, entropy=qp.entropy, sim=self.sim)
         ack.ecn_ce = ecn  # ECN echo drives the sender's adaptive window
         self.nic.send_control(ack)

@@ -126,7 +126,7 @@ class RackTlpTransport(RnicTransport):
             payload=payload, mtu_payload=self.config.mtu_payload,
             msg_len_pkts=msg.num_pkts, msg_len_bytes=msg.size_bytes,
             msg_offset_pkts=psn - msg.base_psn, dcp=False,
-            entropy=qp.entropy, is_retransmit=is_retx, pool=self.pool,
+            entropy=qp.entropy, is_retransmit=is_retx, sim=self.sim,
         )
         packet.timestamp_ns = self.sim.now
         st.sent_ts[psn] = self.sim.now  # per-packet timestamp memory (the cost)
@@ -297,5 +297,5 @@ class RackTlpTransport(RnicTransport):
         ack = make_ack(self.host_id, qp.peer_host_id, flow_id=-1,
                        qpn=qp.peer_qpn, src_qpn=qp.qpn, kind=kind,
                        ack_psn=ack_psn, sack_psn=sack_psn, dcp=False,
-                       entropy=qp.entropy, pool=self.pool)
+                       entropy=qp.entropy, sim=self.sim)
         self.nic.send_control(ack)

@@ -40,7 +40,7 @@ class RiflTransport(TimeoutTransport):
                        qpn=qp.peer_qpn, src_qpn=qp.qpn, kind=PacketKind.ACK,
                        ack_psn=st.epsn - 1,
                        timestamp_ns=data_packet.timestamp_ns, dcp=False,
-                       entropy=qp.entropy, pool=self.pool)
+                       entropy=qp.entropy, sim=self.sim)
         self.nic.send_control(ack)
 
     def _on_ack(self, qp: QueuePair, packet: Packet) -> None:

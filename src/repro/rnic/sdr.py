@@ -152,7 +152,7 @@ class SdrTransport(RnicTransport):
             payload=payload, mtu_payload=self.config.mtu_payload,
             msg_len_pkts=msg.num_pkts, msg_len_bytes=msg.size_bytes,
             msg_offset_pkts=psn - msg.base_psn, dcp=False,
-            entropy=qp.entropy, is_retransmit=is_retx, pool=self.pool,
+            entropy=qp.entropy, is_retransmit=is_retx, sim=self.sim,
         )
         now = self.sim.now
         packet.timestamp_ns = now       # echoed by the ack (Swift RTT)
@@ -346,5 +346,5 @@ class SdrTransport(RnicTransport):
                        qpn=qp.peer_qpn, src_qpn=qp.qpn, kind=kind,
                        ack_psn=st.epsn - 1, sack_bitmap=bitmap,
                        timestamp_ns=data_packet.timestamp_ns, dcp=False,
-                       entropy=qp.entropy, pool=self.pool)
+                       entropy=qp.entropy, sim=self.sim)
         self.nic.send_control(ack)

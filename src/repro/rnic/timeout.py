@@ -101,7 +101,7 @@ class TimeoutTransport(RnicTransport):
             payload=payload, mtu_payload=self.config.mtu_payload,
             msg_len_pkts=msg.num_pkts, msg_len_bytes=msg.size_bytes,
             msg_offset_pkts=psn - msg.base_psn, dcp=False,
-            entropy=qp.entropy, is_retransmit=is_retx, pool=self.pool,
+            entropy=qp.entropy, is_retransmit=is_retx, sim=self.sim,
         )
         if is_retx:
             self.count_retransmit(msg.flow)
@@ -181,5 +181,5 @@ class TimeoutTransport(RnicTransport):
         ack = make_ack(self.host_id, qp.peer_host_id, flow_id=-1,
                        qpn=qp.peer_qpn, src_qpn=qp.qpn, kind=PacketKind.ACK,
                        ack_psn=st.epsn - 1, dcp=False, entropy=qp.entropy,
-                       pool=self.pool)
+                       sim=self.sim)
         self.nic.send_control(ack)

@@ -4,14 +4,14 @@ The whole reproduction is built on this engine.  It is deliberately
 minimal: an integer-nanosecond clock driving a totally-ordered queue of
 ``(time, sequence, callback)`` entries.  The queue itself — the event
 stores, insertion paths, lazy cancellation, and the drain loop — lives
-in :class:`~repro.sim.kernel.ref.RefKernel`, whose ``(when, seq)``
-ordering and count-neutral lazy cancellation are stated in
-:mod:`repro.sim.kernel.base`.  :class:`Simulator` holds the run-visible
-state (``now``, ``events_processed``, the packet-sequence counter, the
-packet pool) and binds the kernel's entry points as instance
-attributes, so hot callers pay no delegation cost: ``sim.schedule``
-*is* the kernel's bound method.  Every packet hop is one event; there
-is no batched dataplane.
+in :class:`~repro.sim.kernel.RefKernel`; its ``(when, seq)`` ordering
+and count-neutral lazy cancellation are stated in the
+:mod:`repro.sim.kernel` docstring.  :class:`Simulator` holds the
+run-visible state (``now``, ``events_processed``, the packet-sequence
+counter) and binds the kernel's entry points as instance attributes,
+so hot callers pay no delegation cost: ``sim.schedule`` *is* the
+kernel's bound method.  Every packet hop is one event; there is no
+batched dataplane.
 
 Callbacks are plain callables; there is no coroutine machinery, which
 keeps the per-event overhead low enough for packet-level simulation in
@@ -47,7 +47,7 @@ class Simulator:
         sim.run()
 
     The event queue lives in ``self.kernel`` (a
-    :class:`~repro.sim.kernel.ref.RefKernel`); ``schedule``,
+    :class:`~repro.sim.kernel.RefKernel`); ``schedule``,
     ``call_after``, ``run``, ``peek_time`` and ``pending`` are the
     kernel's bound methods, installed as instance attributes.  Only the
     kernel's drain loop writes ``now`` and ``events_processed``.
@@ -61,9 +61,6 @@ class Simulator:
         #: Monotone packet-sequence counter: packet uids are per-run,
         #: not per-process import order.
         self.packet_seq: int = 0
-        #: Slot for a per-simulation packet free-list pool; installed by
-        #: the net layer (the engine itself is packet-agnostic).
-        self.packet_pool = None
         #: Set by the chaos subsystem when a failure scenario is armed;
         #: the hybrid-fidelity controller treats it as a standing
         #: falsifier (chaos runs are packet-level end to end).

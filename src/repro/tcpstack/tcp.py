@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.net.packet import (Packet, PacketKind, make_ack,
-                              make_data_packet, release)
+from repro.net.packet import Packet, PacketKind, make_ack, make_data_packet
 from repro.obs import spans
 from repro.rnic.base import (QueuePair, RestartableTimer, RnicTransport,
                              TransportConfig, _GATED, _NO_WORK)
@@ -140,7 +139,7 @@ class TcpTransport(RnicTransport):
             self.host_id, qp.peer_host_id, msg.flow.flow_id, qp.peer_qpn,
             qp.qpn, psn, msg.msn, payload, mtu, msg.num_pkts,
             msg.size_bytes, off, False, -1, 0, qp.entropy, is_retx, 0,
-            self.pool)
+            self.sim)
         packet.kind = PacketKind.TCP_DATA
         if is_retx:
             self.count_retransmit(msg.flow)
@@ -201,7 +200,6 @@ class TcpTransport(RnicTransport):
                 st.snd_nxt = st.snd_una
                 self.count_retransmit(qp.psn_to_message(st.snd_una).flow)
         self._activate(qp)
-        release(self.sim, packet)
 
     # ------------------------------------------------------------ receiver
     def _on_tcp_data(self, qp: QueuePair, packet: Packet) -> None:
@@ -230,29 +228,25 @@ class TcpTransport(RnicTransport):
                 st.ooo.add(packet.psn)
         ack = make_ack(self.host_id, qp.peer_host_id, -1, qp.peer_qpn,
                        qp.qpn, PacketKind.TCP_ACK, st.epsn - 1, dcp=False,
-                       entropy=qp.entropy, pool=self.pool)
+                       entropy=qp.entropy, sim=self.sim)
         self.nic.send_control(ack)
-        release(self.sim, packet)
 
     # ----------------------------------------------------------- dispatch
     def receive(self, packet: Packet, in_port: int = 0) -> None:
         """Every packet pays the receive-path stack costs first.
 
         The deferred callback is the kind-specific handler itself (no
-        dispatch trampoline); handlers release the packet when done.
+        dispatch trampoline).
         """
         kind = packet.kind
         if kind is PacketKind.PAUSE:
             self.nic.pause()
-            release(self.sim, packet)
             return
         if kind is PacketKind.RESUME:
             self.nic.resume()
-            release(self.sim, packet)
             return
         qp = self.qps.get(packet.qpn)
         if qp is None:
-            release(self.sim, packet)
             return
         if kind is PacketKind.TCP_DATA:
             fn = self._on_tcp_data
@@ -263,7 +257,7 @@ class TcpTransport(RnicTransport):
         self.sim.call_after(self._rx_delay_ns, fn, qp, packet)
 
     def _drop(self, qp: QueuePair, packet: Packet) -> None:
-        release(self.sim, packet)
+        """Discard a non-TCP kind once the stack delay has been paid."""
 
     # unused RNIC handlers
     def _on_data(self, qp, packet):  # pragma: no cover

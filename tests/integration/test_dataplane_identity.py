@@ -1,12 +1,13 @@
-"""Bit-identity of the packet pool (``REPRO_PACKET_POOL``).
+"""Per-run determinism of the packet dataplane.
 
-The pool only changes *where packet objects come from* — a per-run
-free list instead of fresh construction — never the event stream.
-These tests pin that contract across the pool's on/off/debug modes,
-over a clean direct point, a lossy Clos point (NAK, RTO and
-fast-retransmit paths), and a link-flap chaos scenario.  Beyond the
-payload, every cell also compares ``sim.packet_seq``: packet uids are
-allocated identically whichever mode recycles them.
+A simulation owns all of its run-visible state: the event stream, the
+RNG draws and the packet-uid counter (``sim.packet_seq``).  Running the
+same point twice in one process must therefore give an identical
+payload *and* an identical ``packet_seq`` — nothing may leak from the
+first run into the second through module-level state.  The cells cover
+a clean direct point, a lossy Clos point (NAK, RTO and fast-retransmit
+paths), and a link-flap chaos scenario; the last test pins serial ==
+``--jobs 2`` == cache replay on fig8.
 """
 
 from __future__ import annotations
@@ -25,17 +26,8 @@ from repro.runner.points import simulate_flows
 
 TRANSPORTS = ("gbn", "dcp", "tcp", "sdr", "rifl")
 
-#: (REPRO_PACKET_POOL, REPRO_PACKET_POOL_DEBUG)
-POOL_MODES = (
-    ("1", ""),      # pool on (the default)
-    ("0", ""),      # pool off: every packet freshly constructed
-    ("1", "1"),     # pool poison/debug mode
-)
 
-
-def _run(monkeypatch, pool, debug, spec, params):
-    monkeypatch.setenv("REPRO_PACKET_POOL", pool)
-    monkeypatch.setenv("REPRO_PACKET_POOL_DEBUG", debug)
+def _run(monkeypatch, spec, params):
     built = []
 
     class _Recording(Network):
@@ -52,47 +44,44 @@ def _run(monkeypatch, pool, debug, spec, params):
                       sort_keys=True, default=str)
 
 
-def _assert_pool_invisible(monkeypatch, spec, params):
-    runs = {mode: _run(monkeypatch, *mode, spec, params)
-            for mode in POOL_MODES}
-    reference = runs[POOL_MODES[0]]
-    for mode, run in runs.items():
-        assert run == reference, f"run diverged under pool mode {mode}"
+def _assert_rerun_identical(monkeypatch, spec, params):
+    first = _run(monkeypatch, spec, params)
+    assert json.loads(first)["packet_seq"] > 0
+    assert _run(monkeypatch, spec, params) == first
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_pool_modes_direct(monkeypatch, transport):
-    """Every pool mode yields the same run on the clean direct point
-    every figure sweep is built from."""
+def test_rerun_identical_direct(monkeypatch, transport):
+    """The clean direct point every figure sweep is built from."""
     spec = NetworkSpec(transport=transport, topology="direct", num_hosts=2,
                        link_rate=100.0, host_link_delay_ns=500,
                        window_bytes=262_144)
     params = {"flows": [[0, 1, 1_000_000, 0]], "max_events": 50_000_000}
-    _assert_pool_invisible(monkeypatch, spec, params)
+    _assert_rerun_identical(monkeypatch, spec, params)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_pool_modes_lossy_clos(monkeypatch, transport):
-    """Injected loss drives the retransmission paths, which release and
-    re-allocate packets out of order; the run must not move."""
+def test_rerun_identical_lossy_clos(monkeypatch, transport):
+    """Injected loss drives the retransmission paths, which rebuild
+    packets out of order."""
     spec = NetworkSpec(transport=transport, topology="clos", num_hosts=4,
                        link_rate=100.0, host_link_delay_ns=500,
                        window_bytes=262_144, loss_rate=0.01)
     params = {"flows": [[0, 2, 300_000, 0], [1, 3, 300_000, 0]],
               "max_events": 50_000_000}
-    _assert_pool_invisible(monkeypatch, spec, params)
+    _assert_rerun_identical(monkeypatch, spec, params)
 
 
-def test_pool_modes_link_flap(monkeypatch):
-    """Packets dropped on a downed link return to the pool early; the
-    chaos run must not move."""
+def test_rerun_identical_link_flap(monkeypatch):
+    """Packets dropped on a downed link die early; the chaos run must
+    not move."""
     quick = get_preset("quick")
     spec = robustness._spec("dcp", quick)
     flow_bytes = robustness._flow_bytes(quick)
     params = {"flows": [[0, 2, flow_bytes, 0], [1, 3, flow_bytes, 10_000]],
               "max_events": 60_000_000,
               "chaos": get_scenario("link_flap")}
-    _assert_pool_invisible(monkeypatch, spec, params)
+    _assert_rerun_identical(monkeypatch, spec, params)
 
 
 def test_fig8_quick_serial_jobs_replay(tmp_path):

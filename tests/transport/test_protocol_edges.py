@@ -193,6 +193,6 @@ class TestMalformedInput:
                                  mtu_payload=1000, msg_len_pkts=1,
                                  msg_len_bytes=1000, msg_offset_pkts=0,
                                  dcp=True)
-        b.on_packet(stray)  # silently ignored (stale/destroyed QP)
+        b.receive(stray, 0)  # silently ignored (stale/destroyed QP)
         drain(sim)
         assert flow.completed

@@ -42,3 +42,19 @@ def test_scale_wall_clock_cells_are_masked():
     masked = gate.mask_wall_clock(text).splitlines()
     assert masked[3] == "16  *  500"
     assert masked[-1] == "1   0.5"
+
+
+def test_scale_wall_clock_column_width_is_masked():
+    """A wall-clock value that widens its column changes the header and
+    the dash rule too; the masked tables must still match."""
+    narrow = ("== scale: wall time vs hosts\n"
+              "hosts  wall_s  events\n"
+              "-----  ------  ------\n"
+              "   16   0.123     500\n")
+    wide = ("== scale: wall time vs hosts\n"
+            "hosts  wall_s   events\n"
+            "-----  -------  ------\n"
+            "   16  10.123      500\n")
+    assert gate.mask_wall_clock(narrow) == gate.mask_wall_clock(wide)
+    assert gate.mask_wall_clock(narrow).splitlines()[1:3] == [
+        "hosts  wall_s  events", "-----  ------  ------"]

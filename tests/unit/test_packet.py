@@ -110,14 +110,6 @@ def test_uids_unique():
     assert _data().uid != _data().uid
 
 
-def test_clone_header_copies_fields_new_uid():
-    pkt = _data()
-    clone = pkt.clone_header()
-    assert clone.uid != pkt.uid
-    assert (clone.psn, clone.msn, clone.size_bytes) == (pkt.psn, pkt.msn,
-                                                        pkt.size_bytes)
-
-
 def test_last_packet_shorter_payload():
     pkt = make_data_packet(1, 2, flow_id=1, qpn=1, src_qpn=2, psn=0, msn=0,
                            payload=100, mtu_payload=1000, msg_len_pkts=1,
